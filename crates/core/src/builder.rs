@@ -13,6 +13,7 @@ use mobicast_net::{
 };
 use mobicast_sim::{RngFactory, SimTime, Tracer};
 use std::net::Ipv6Addr;
+use std::rc::Rc;
 
 /// A MAP domain for hierarchical delivery policies: while attached to any
 /// of the domain's links, a roaming host registers with the domain's MAP
@@ -122,7 +123,7 @@ impl NetworkSpec {
     /// the shape used by the compact-state scale experiments.
     /// `metro(1_000)` yields a 23×23 grid (1012 routers, 529 links);
     /// `metro(10_000)` a 71×71 grid (9940 routers, 5041 links). Combine
-    /// with [`BuiltNetwork::shard_plan`] to run it sharded.
+    /// with [`BuiltNetwork::shard_plan`] to analyse its schedule by shard.
     pub fn metro(n_routers: usize) -> NetworkSpec {
         assert!(n_routers >= 4, "metro needs at least a 2x2 grid");
         let w = ((1.0 + (1.0 + 2.0 * n_routers as f64).sqrt()) / 2.0).round() as usize;
@@ -190,12 +191,11 @@ impl BuiltNetwork {
     }
 
     /// Partition the network into `n_shards` contiguous link regions for
-    /// sharded execution ([`World::run`] with a sharded plan). Each node
-    /// lands in the shard of its
-    /// first attached link; the lookahead is the minimum link delay in the
-    /// topology — a strictly conservative bound on how fast any event can
-    /// cross a shard boundary, and robust against hosts roaming between
-    /// regions mid-run.
+    /// the windowed shard analysis ([`World::run`] with a sharded plan).
+    /// Each node lands in the shard of its first attached link; the
+    /// lookahead is the minimum link delay in the topology — a strictly
+    /// conservative bound on how fast any event can cross a shard
+    /// boundary, and robust against hosts roaming between regions mid-run.
     pub fn shard_plan(&self, n_shards: usize) -> ShardPlan {
         let n_shards = n_shards.clamp(1, self.links.len().max(1));
         let n_links = self.links.len().max(1);
@@ -331,7 +331,7 @@ pub fn build(
             map_agent[*l] = Some(addr);
         }
     }
-    let directory: SharedDirectory = std::sync::Arc::new(Directory {
+    let directory: SharedDirectory = Rc::new(Directory {
         default_router,
         map_agent,
     });

@@ -375,11 +375,6 @@ impl Deserialize for Policy {
     }
 }
 
-/// Deprecated pre-registry name for [`Policy`]; kept one release so
-/// downstream code migrates at its own pace.
-#[deprecated(note = "renamed to Policy; construct via Policy::* or the registry")]
-pub type Strategy = Policy;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,13 +470,6 @@ mod tests {
         );
         // The group list rides along: the MAP must learn what to join.
         assert!(p.binding_update_extras().include_group_list);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_strategy_alias_still_works() {
-        let s: Strategy = Strategy::LOCAL;
-        assert_eq!(s, Policy::LOCAL);
     }
 
     #[test]

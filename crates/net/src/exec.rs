@@ -1,115 +1,49 @@
 //! Execution configuration for [`World::run`](crate::World::run).
 //!
-//! One validating entry point replaces the old `run_until` /
-//! `run_until_sharded` pair: callers describe *how* to execute
-//! ([`ExecutorConfig`]: sequential, sharded, how many worker threads),
-//! resolve it against a topology into an [`ExecPlan`], and get back a
-//! [`RunStats`] whatever the backend. The executor choice never changes
+//! Callers describe *how* to execute ([`ExecutorConfig`]: the plain
+//! sequential loop, or the same loop with a windowed shard analysis over
+//! `n` topology regions), resolve it against a topology into an
+//! [`ExecPlan`], and get back a [`RunStats`]. The choice never changes
 //! *what* the run produces — traces, reports, oracle verdicts and
-//! observability artifacts are byte-identical for every valid
-//! `(shards, workers)` — only how fast it is produced.
-//!
-//! `MOBICAST_WORKERS=<n>` overrides the worker-thread count of any sharded
-//! configuration at resolution time, so operators can scale a benchmark
-//! from the environment without touching scenario code.
+//! observability artifacts are byte-identical either way; a sharded plan
+//! only adds the realized window schedule ([`ShardRunStats`]) and its
+//! achievable parallel speedup.
 
 use crate::world::{ShardPlan, ShardRunStats};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Environment variable overriding the worker count of sharded configs.
-pub const WORKERS_ENV: &str = "MOBICAST_WORKERS";
-
 /// A validating description of how to execute a run.
 ///
 /// Build with [`ExecutorConfig::sequential`] or [`ExecutorConfig::sharded`],
-/// optionally add worker threads with [`threads`](ExecutorConfig::threads),
 /// then resolve against a topology with [`plan`](ExecutorConfig::plan) (or
 /// check standalone with [`validate`](ExecutorConfig::validate)).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecutorConfig {
-    /// Number of topology shards; `None` = plain sequential loop.
+    /// Number of topology shards to analyse; `None` = plain sequential loop.
     shards: Option<usize>,
-    /// Worker threads dispatching shard batches (only meaningful with
-    /// sharding; 1 = the windowed loop runs inline on the caller thread).
-    workers: usize,
-}
-
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        ExecutorConfig::sequential()
-    }
 }
 
 impl ExecutorConfig {
     /// The plain sequential event loop.
     pub fn sequential() -> ExecutorConfig {
-        ExecutorConfig {
-            shards: None,
-            workers: 1,
-        }
+        ExecutorConfig { shards: None }
     }
 
-    /// Conservative-window sharded execution over `shards` topology regions
-    /// (inline, single-threaded dispatch until [`threads`](Self::threads)
-    /// raises the worker count).
+    /// The sequential loop with a conservative-window schedule analysis
+    /// over `shards` topology regions.
     pub fn sharded(shards: usize) -> ExecutorConfig {
         ExecutorConfig {
             shards: Some(shards),
-            workers: 1,
-        }
-    }
-
-    /// Set the worker-thread count (builder style).
-    pub fn threads(mut self, workers: usize) -> ExecutorConfig {
-        self.workers = workers;
-        self
-    }
-
-    /// Shard count, if sharded.
-    pub fn shards(&self) -> Option<usize> {
-        self.shards
-    }
-
-    /// Configured worker count (before any environment override).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The `MOBICAST_WORKERS` override, if set and parseable.
-    pub fn env_workers() -> Option<usize> {
-        std::env::var(WORKERS_ENV).ok()?.trim().parse().ok()
-    }
-
-    /// The worker count after applying the environment override (sharded
-    /// configs only; a sequential config ignores the variable).
-    pub fn effective_workers(&self) -> usize {
-        match self.shards {
-            Some(_) => Self::env_workers().unwrap_or(self.workers),
-            None => self.workers,
         }
     }
 
     /// Check the configuration without resolving a topology.
     pub fn validate(&self) -> Result<(), ExecError> {
-        let workers = self.effective_workers();
-        if workers == 0 {
-            return Err(ExecError::ZeroWorkers);
-        }
         match self.shards {
-            None => {
-                if workers > 1 {
-                    return Err(ExecError::SequentialWithThreads { workers });
-                }
-            }
-            Some(0) => return Err(ExecError::ZeroShards),
-            Some(shards) => {
-                if workers > shards {
-                    return Err(ExecError::MoreWorkersThanShards { workers, shards });
-                }
-            }
+            Some(0) => Err(ExecError::ZeroShards),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Validate and resolve into an [`ExecPlan`], building the topology
@@ -119,10 +53,7 @@ impl ExecutorConfig {
         self.validate()?;
         Ok(match self.shards {
             None => ExecPlan::Sequential,
-            Some(shards) => ExecPlan::Sharded {
-                plan: make_plan(shards),
-                workers: self.effective_workers(),
-            },
+            Some(shards) => ExecPlan::Sharded(make_plan(shards)),
         })
     }
 }
@@ -132,12 +63,8 @@ impl ExecutorConfig {
 pub enum ExecPlan {
     /// Plain sequential event loop.
     Sequential,
-    /// Conservative-window sharded execution.
-    Sharded {
-        plan: ShardPlan,
-        /// Worker threads (1 = inline windowed loop).
-        workers: usize,
-    },
+    /// The same loop, feeding the conservative-window schedule analysis.
+    Sharded(ShardPlan),
 }
 
 impl ExecPlan {
@@ -145,8 +72,8 @@ impl ExecPlan {
         ExecPlan::Sequential
     }
 
-    pub fn sharded(plan: ShardPlan, workers: usize) -> ExecPlan {
-        ExecPlan::Sharded { plan, workers }
+    pub fn sharded(plan: ShardPlan) -> ExecPlan {
+        ExecPlan::Sharded(plan)
     }
 }
 
@@ -155,32 +82,20 @@ impl ExecPlan {
 pub struct RunStats {
     /// Events dispatched by this run (delta, not the world lifetime total).
     pub events_executed: u64,
-    /// Present when the run executed sharded (inline or threaded).
+    /// Present when the run carried a sharded plan.
     pub sharded: Option<ShardRunStats>,
 }
 
 /// An invalid [`ExecutorConfig`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecError {
-    ZeroWorkers,
     ZeroShards,
-    SequentialWithThreads { workers: usize },
-    MoreWorkersThanShards { workers: usize, shards: usize },
 }
 
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::ZeroWorkers => write!(f, "executor needs at least one worker"),
             ExecError::ZeroShards => write!(f, "sharded executor needs at least one shard"),
-            ExecError::SequentialWithThreads { workers } => write!(
-                f,
-                "sequential executor cannot use {workers} worker threads (shard the world first)"
-            ),
-            ExecError::MoreWorkersThanShards { workers, shards } => write!(
-                f,
-                "{workers} workers cannot be fed by {shards} shards (workers must be <= shards)"
-            ),
         }
     }
 }
@@ -191,10 +106,6 @@ impl std::error::Error for ExecError {}
 mod tests {
     use super::*;
     use mobicast_sim::SimDuration;
-
-    fn plan2() -> ShardPlan {
-        ShardPlan::new(vec![0, 1], SimDuration::from_micros(10))
-    }
 
     #[test]
     fn sequential_is_default_and_valid() {
@@ -207,55 +118,23 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_and_oversubscribed() {
-        assert_eq!(
-            ExecutorConfig::sharded(4).threads(0).validate(),
-            Err(ExecError::ZeroWorkers)
-        );
+    fn rejects_zero_shards() {
         assert_eq!(
             ExecutorConfig::sharded(0).validate(),
             Err(ExecError::ZeroShards)
         );
-        assert_eq!(
-            ExecutorConfig::sequential().threads(2).validate(),
-            Err(ExecError::SequentialWithThreads { workers: 2 })
-        );
-        assert_eq!(
-            ExecutorConfig::sharded(2).threads(4).validate(),
-            Err(ExecError::MoreWorkersThanShards {
-                workers: 4,
-                shards: 2
-            })
-        );
+        assert!(!ExecError::ZeroShards.to_string().is_empty());
     }
 
     #[test]
     fn resolves_sharded_plan() {
-        let plan = ExecutorConfig::sharded(2).threads(2).plan(|s| {
+        let plan = ExecutorConfig::sharded(2).plan(|s| {
             assert_eq!(s, 2);
-            plan2()
+            ShardPlan::new(vec![0, 1], SimDuration::from_micros(10))
         });
         match plan {
-            Ok(ExecPlan::Sharded { plan, workers }) => {
-                assert_eq!(workers, 2);
-                assert_eq!(plan.n_shards(), 2);
-            }
+            Ok(ExecPlan::Sharded(plan)) => assert_eq!(plan.n_shards(), 2),
             other => panic!("unexpected: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn errors_render() {
-        for e in [
-            ExecError::ZeroWorkers,
-            ExecError::ZeroShards,
-            ExecError::SequentialWithThreads { workers: 2 },
-            ExecError::MoreWorkersThanShards {
-                workers: 4,
-                shards: 2,
-            },
-        ] {
-            assert!(!e.to_string().is_empty());
         }
     }
 }

@@ -4,7 +4,10 @@
 //! world of nodes and multi-access links driven by the deterministic event
 //! kernel from `mobicast-sim`.
 //!
-//! * [`world`] — the event loop, node behaviors, timers, host mobility.
+//! * [`world`] — the single-threaded event loop, node behaviors, timers,
+//!   host mobility, and the windowed shard analysis of a run's schedule.
+//! * [`exec`] — [`ExecutorConfig`] → [`ExecPlan`] → [`World::run`]: the
+//!   one entry point that runs the loop, with or without that analysis.
 //! * [`link`] — the broadcast link model with per-class byte accounting.
 //! * [`frame`] — frames and accounting classes.
 //! * [`graph`] — shortest-path routing over the router/link graph (the
@@ -19,10 +22,9 @@ pub mod frame;
 pub mod graph;
 pub mod ids;
 pub mod link;
-mod threaded;
 pub mod world;
 
-pub use exec::{ExecError, ExecPlan, ExecutorConfig, RunStats, WORKERS_ENV};
+pub use exec::{ExecError, ExecPlan, ExecutorConfig, RunStats};
 pub use fault::{
     CorruptionKind, CorruptionModel, FaultPlan, FaultWindow, LinkFault, LinkFaultState, LinkFlap,
     LossModel, RouterCrash, StormModel, CORRUPTION_KIND_COUNT,
