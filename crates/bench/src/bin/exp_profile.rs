@@ -155,24 +155,6 @@ fn run_one(cfg: &ScenarioConfig) -> Result<serde_json::Value, String> {
     }))
 }
 
-/// Peak resident set of this process so far, from `/proc/self/status`
-/// `VmHWM` (kB). Zero where the proc filesystem is unavailable.
-fn peak_rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines().find_map(|l| {
-                l.strip_prefix("VmHWM:")?
-                    .trim()
-                    .trim_end_matches("kB")
-                    .trim()
-                    .parse::<u64>()
-                    .ok()
-            })
-        })
-        .map_or(0, |kb| kb * 1024)
-}
-
 /// The compact-state scale section (schema v7): metro-grid stress
 /// throughput with peak RSS and the windowed shard analysis (achievable
 /// conservative-parallel speedup), the Helmy aggregation curve
@@ -280,7 +262,7 @@ fn scale_section() -> Result<serde_json::Value, String> {
             "events_executed": report.events_executed,
             "wall_secs": wall_secs,
             "events_per_sec": report.events_executed as f64 / wall_secs.max(1e-9),
-            "peak_rss_bytes": peak_rss_bytes(),
+            "peak_rss_bytes": mobicast_bench::peak_rss_bytes(),
             "shards": stats.events_per_shard.len(),
             "windows": stats.windows,
             "barrier_syncs": stats.barrier_syncs,

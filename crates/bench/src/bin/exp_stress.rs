@@ -7,7 +7,8 @@
 //! `--routers N` switches to a single metro-grid run of (at least) N
 //! routers with the windowed shard analysis — e.g. `exp_stress --routers
 //! 10000 --receivers 200` — reporting events/sec, the shard schedule and
-//! the achievable conservative-parallel speedup. The metro run is one
+//! the achievable conservative-parallel speedup, plus the process's peak
+//! resident set (`peak_rss_mb`, which CI bounds). The metro run is one
 //! single-threaded run, so `--workers` (which only sizes the sweep pool)
 //! does not affect it. `--receivers M` tunes the run; the result lands in
 //! `results/stress_metro.json`.
@@ -36,12 +37,14 @@ fn run_metro(routers: usize) -> ExitCode {
     let wall_secs = wall_start.elapsed().as_secs_f64();
 
     let events_per_sec = report.events_executed as f64 / wall_secs.max(1e-9);
+    let peak_rss_mb = mobicast_bench::peak_rss_bytes() as f64 / (1024.0 * 1024.0);
     println!(
         "{}: {} routers / {} links / {} hosts",
         report.name, report.routers, report.links, report.hosts
     );
     println!(
-        "  {} events in {wall_secs:.2}s wall = {events_per_sec:.0} events/sec",
+        "  {} events in {wall_secs:.2}s wall = {events_per_sec:.0} events/sec, \
+         peak RSS {peak_rss_mb:.0} MB",
         report.events_executed
     );
     if let Some(s) = &stats {
@@ -75,6 +78,7 @@ fn run_metro(routers: usize) -> ExitCode {
         "events_executed": report.events_executed,
         "wall_secs": wall_secs,
         "events_per_sec": events_per_sec,
+        "peak_rss_mb": peak_rss_mb,
         "shard_stats": stats,
         "report": report,
     });

@@ -86,3 +86,21 @@ pub fn workers_flag() -> Option<usize> {
     }
     None
 }
+
+/// Peak resident set of this process so far, from `/proc/self/status`
+/// `VmHWM` (kB). Zero where the proc filesystem is unavailable.
+pub fn peak_rss_bytes() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines().find_map(|l| {
+                l.strip_prefix("VmHWM:")?
+                    .trim()
+                    .trim_end_matches("kB")
+                    .trim()
+                    .parse::<u64>()
+                    .ok()
+            })
+        })
+        .map_or(0, |kb| kb * 1024)
+}

@@ -16,10 +16,31 @@ pub fn iid(node: NodeId, ifindex: IfIndex) -> u64 {
     (u64::from(node.0) + 1) * 0x100 + u64::from(ifindex)
 }
 
-/// The /64 prefix assigned to a link.
+/// Most links the plan can number: the third prefix group holds
+/// `link + 1`, and 0 is left unused so that `2001:db8::/64` is off-plan.
+pub const MAX_LINKS: usize = u16::MAX as usize;
+
+/// The /64 prefix assigned to a link. Panics for links the plan cannot
+/// number (`link >= MAX_LINKS`) instead of aliasing a lower link.
 pub fn link_prefix(link: LinkId) -> Prefix {
+    assert!(
+        (link.0 as usize) < MAX_LINKS,
+        "link {link} is outside the address plan (at most {MAX_LINKS} links)"
+    );
     let addr = Ipv6Addr::new(0x2001, 0xdb8, link.0 as u16 + 1, 0, 0, 0, 0, 0);
     Prefix::new(addr, 64)
+}
+
+/// The link whose /64 contains `a` — the inverse of [`link_prefix`].
+/// `None` for any address outside the plan (link-local, multicast, other
+/// prefixes, and `2001:db8:0::/64`, which no link is given).
+pub fn link_of_addr(a: Ipv6Addr) -> Option<LinkId> {
+    let net = (u128::from(a) >> 64) as u64;
+    if net & 0xffff_ffff_0000_ffff != 0x2001_0db8_0000_0000 {
+        return None;
+    }
+    let n = (net >> 16) as u16;
+    n.checked_sub(1).map(|l| LinkId(u32::from(l)))
 }
 
 /// The link-local address of `(node, ifindex)` — the same on every link.
@@ -53,6 +74,33 @@ mod tests {
         assert_ne!(p0, p1);
         assert_eq!(p0.to_string(), "2001:db8:1::/64");
         assert_eq!(p1.to_string(), "2001:db8:2::/64");
+    }
+
+    #[test]
+    fn link_of_addr_inverts_link_prefix() {
+        for l in [0, 1, 528, 5040, (MAX_LINKS - 1) as u32] {
+            let link = LinkId(l);
+            let prefix = link_prefix(link);
+            assert_eq!(link_of_addr(prefix.addr_with_iid(0)), Some(link));
+            assert_eq!(link_of_addr(global_addr(NodeId(7), 2, link)), Some(link));
+        }
+        for off in [
+            "2001:db8::1",
+            "2001:db8:5:1::1",
+            "2002:db8:5::1",
+            "fe80::400",
+            "ff1e::1",
+            "::",
+        ] {
+            let a: Ipv6Addr = off.parse().unwrap();
+            assert_eq!(link_of_addr(a), None, "{off} is off-plan");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the address plan")]
+    fn link_prefix_rejects_links_past_the_plan() {
+        let _ = link_prefix(LinkId(MAX_LINKS as u32));
     }
 
     #[test]

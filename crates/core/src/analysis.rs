@@ -12,8 +12,8 @@
 //! * **Leave delay** — for each move of a subscribed receiver off a link,
 //!   how long data kept flowing onto the abandoned link.
 
+use crate::netplan::RoutingPlane;
 use crate::recorder::Recorder;
-use mobicast_net::LinkGraph;
 use mobicast_sim::{Counters, QuantileDigest, SeriesSet, SimTime, SpanRecord, TimeSeriesSet};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -52,7 +52,7 @@ pub struct Analysis {
 }
 
 /// Reconstruct per-delivery paths and classify link usage.
-pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
+pub fn analyze(rec: &Recorder, routing: &RoutingPlane, n_links: usize) -> Analysis {
     let mut a = Analysis {
         link_usage: vec![LinkDataUsage::default(); n_links],
         packets_sent: rec.packets.len() as u64,
@@ -102,7 +102,7 @@ pub fn analyze(rec: &Recorder, graph: &LinkGraph, n_links: usize) -> Analysis {
             }
         }
         if ok {
-            if let Some(optimal) = graph.link_hop_distance(m.origin_link, d.link) {
+            if let Some(optimal) = routing.link_hop_distance(m.origin_link, d.link) {
                 if optimal > 0 {
                     stretch_sum += f64::from(path_links) / f64::from(optimal);
                     path_sum += f64::from(path_links);
@@ -250,7 +250,7 @@ mod tests {
     use super::*;
     use crate::recorder::{DataEvent, Delivery, MoveEvent, PacketMeta, Recorder};
     use mobicast_ipv6::addr::GroupAddr;
-    use mobicast_net::{LinkId, NodeId};
+    use mobicast_net::{LinkGraph, LinkId, NodeId};
     use mobicast_sim::SimTime;
 
     fn t(s: u64) -> SimTime {
@@ -261,11 +261,11 @@ mod tests {
     }
 
     /// String graph L0-R0-L1-R1-L2.
-    fn graph() -> LinkGraph {
-        LinkGraph::new(
+    fn graph() -> RoutingPlane {
+        RoutingPlane::new(LinkGraph::new(
             3,
             &[(NodeId(0), vec![l(0), l(1)]), (NodeId(1), vec![l(1), l(2)])],
-        )
+        ))
     }
 
     fn pkt_meta(pkt: u64) -> PacketMeta {

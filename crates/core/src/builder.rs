@@ -4,7 +4,7 @@
 use crate::addressing;
 use crate::host_node::{HostConfig, HostNode, SenderApp};
 use crate::interners::WorldInterners;
-use crate::netplan::{Directory, RouteEntry, RoutingTable, SharedDirectory};
+use crate::netplan::{Directory, RoutingPlane, SharedDirectory};
 use crate::recorder::{Recorder, SharedRecorder};
 use crate::router_node::{RouterConfig, RouterIfaceInfo, RouterNode};
 use mobicast_ipv6::addr::GroupAddr;
@@ -177,7 +177,6 @@ pub struct BuiltNetwork {
     pub routers: Vec<NodeId>,
     pub hosts: Vec<NodeId>,
     pub links: Vec<LinkId>,
-    pub graph: LinkGraph,
     pub recorder: SharedRecorder,
     pub directory: SharedDirectory,
     /// World-level id pools all router state tables draw from.
@@ -220,22 +219,21 @@ impl BuiltNetwork {
     }
 }
 
-/// Build one router behavior for `r` (interface info + routing table
-/// derived from the graph). Also used to construct the fresh, blank-state
+/// Build one router behavior for `r`: interface info plus a view of the
+/// shared routing plane. Also used to construct the fresh, blank-state
 /// replacement stack when a fault plan restarts a crashed router.
 #[allow(clippy::too_many_arguments)]
 fn router_node(
     spec: &NetworkSpec,
     links: &[LinkId],
-    graph: &LinkGraph,
+    directory: &SharedDirectory,
     r: NodeId,
     router_cfg: RouterConfig,
     rng: &RngFactory,
     recorder: &SharedRecorder,
     interners: &WorldInterners,
 ) -> Box<RouterNode> {
-    let attached = &spec.routers[r.index()];
-    let ifaces: Vec<RouterIfaceInfo> = attached
+    let ifaces: Vec<RouterIfaceInfo> = spec.routers[r.index()]
         .iter()
         .enumerate()
         .map(|(ifx, l)| RouterIfaceInfo {
@@ -245,38 +243,11 @@ fn router_node(
             global: addressing::global_addr(r, ifx as IfIndex, links[*l]),
         })
         .collect();
-    let mut routes = Vec::new();
-    for target in links {
-        let Some(route) = graph.route(r, *target) else {
-            continue;
-        };
-        let iface = attached
-            .iter()
-            .position(|l| links[*l] == route.first_link)
-            .expect("first link attached") as IfIndex;
-        let (next_hop, next_hop_node) = match route.next_router {
-            Some(n) => {
-                let n_ifx = spec.routers[n.index()]
-                    .iter()
-                    .position(|l| links[*l] == route.first_link)
-                    .expect("next router on shared link") as IfIndex;
-                (Some(addressing::link_local_addr(n, n_ifx)), Some(n))
-            }
-            None => (None, None),
-        };
-        routes.push(RouteEntry {
-            prefix: addressing::link_prefix(*target),
-            iface,
-            next_hop,
-            next_hop_node,
-            metric: route.link_hops,
-        });
-    }
     Box::new(RouterNode::new(
         r,
         router_cfg,
         ifaces,
-        RoutingTable { routes },
+        directory.clone(),
         rng,
         recorder.clone(),
         interners,
@@ -291,6 +262,13 @@ pub fn build(
     seed: u64,
     tracer: Tracer,
 ) -> BuiltNetwork {
+    assert!(
+        spec.n_links <= addressing::MAX_LINKS,
+        "network has {} links, but the address plan (2001:db8:<link+1>::/64) \
+         numbers at most {} links",
+        spec.n_links,
+        addressing::MAX_LINKS
+    );
     let rng = RngFactory::new(seed);
     let recorder = Recorder::new_shared();
     let mut world = World::with_tracer(tracer);
@@ -311,7 +289,7 @@ pub fn build(
             .collect::<Vec<_>>(),
     );
 
-    // Directory: default router per link.
+    // Directory: default router per link, MAP agents, routing plane.
     let mut default_router = vec![None; spec.n_links];
     for (slot, link) in default_router.iter_mut().zip(&links) {
         *slot = graph.routers_on_link(*link).first().copied();
@@ -334,13 +312,13 @@ pub fn build(
     let directory: SharedDirectory = Rc::new(Directory {
         default_router,
         map_agent,
+        routing: RoutingPlane::new(graph),
     });
 
-    // Per-router interface info + routing tables.
     let interners = WorldInterners::new();
     for (r, attached) in router_ids.iter().zip(&spec.routers) {
         let node = router_node(
-            spec, &links, &graph, *r, router_cfg, &rng, &recorder, &interners,
+            spec, &links, &directory, *r, router_cfg, &rng, &recorder, &interners,
         );
         let id = world.add_node(attached.len(), node);
         debug_assert_eq!(id, *r);
@@ -382,7 +360,6 @@ pub fn build(
         routers: router_ids,
         hosts: host_ids,
         links,
-        graph,
         recorder,
         directory,
         interners,
@@ -458,7 +435,7 @@ pub fn apply_fault_plan(
         let fresh = router_node(
             spec,
             &net.links,
-            &net.graph,
+            &net.directory,
             node,
             router_cfg,
             &rng.subfactory(&format!("restart.{k}")),
@@ -515,8 +492,9 @@ mod tests {
         let spec = NetworkSpec::string(4);
         let net = build(&spec, &[], RouterConfig::default(), 1, Tracer::null());
         assert_eq!(net.routers.len(), 3);
-        let r = net.graph.route(NodeId(0), net.links[3]).unwrap();
-        assert_eq!(r.link_hops, 3);
+        let far = addressing::global_addr(NodeId(9), 0, net.links[3]);
+        let r = net.directory.routing.lookup(NodeId(0), far).unwrap();
+        assert_eq!(r.metric, 3);
     }
 
     #[test]
@@ -526,9 +504,23 @@ mod tests {
         assert_eq!(net.links.len(), 5);
         // Any leaf to any other leaf: 3 links (leaf, hub, leaf).
         assert_eq!(
-            net.graph.link_hop_distance(net.links[1], net.links[2]),
+            net.directory
+                .routing
+                .link_hop_distance(net.links[1], net.links[2]),
             Some(3)
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "address plan")]
+    fn build_rejects_more_links_than_the_address_plan_numbers() {
+        let spec = NetworkSpec {
+            n_links: addressing::MAX_LINKS + 1,
+            routers: Vec::new(),
+            link_params: LinkParams::default(),
+            domains: Vec::new(),
+        };
+        let _ = build(&spec, &[], RouterConfig::default(), 1, Tracer::null());
     }
 
     #[test]

@@ -1,22 +1,24 @@
-//! Static network-plan data shared by the composed nodes: routing tables,
-//! the link directory, data-payload framing and frame classification.
+//! Static network-plan data shared by the composed nodes: the routing
+//! plane, the link directory, data-payload framing and frame
+//! classification.
 
 use crate::addressing;
 use bytes::{BufMut, Bytes, BytesMut};
-use mobicast_ipv6::addr::{self, GroupAddr, Prefix};
+use mobicast_ipv6::addr::{self, GroupAddr};
 use mobicast_ipv6::packet::{proto, Packet};
 use mobicast_ipv6::udp::UdpDatagram;
-use mobicast_net::{Frame, FrameClass, IfIndex, LinkId, NodeId};
+use mobicast_net::{Frame, FrameClass, IfIndex, LinkGraph, LinkId, NodeId};
+use mobicast_pimdm::{RpfInfo, RpfLookup};
+use std::cell::OnceCell;
 use std::net::Ipv6Addr;
 use std::rc::Rc;
 
 /// UDP port carrying the simulated multicast application stream.
 pub const MCAST_UDP_PORT: u16 = 5001;
 
-/// One route in a router's static table.
+/// A router's route toward one destination link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RouteEntry {
-    pub prefix: Prefix,
     pub iface: IfIndex,
     /// Link-local address of the next-hop router (None: directly attached).
     pub next_hop: Option<Ipv6Addr>,
@@ -26,30 +28,129 @@ pub struct RouteEntry {
     pub metric: u32,
 }
 
-/// A router's unicast routing table (longest prefix match, lowest metric).
-#[derive(Clone, Debug, Default)]
-pub struct RoutingTable {
-    pub routes: Vec<RouteEntry>,
+/// One router's cell of a next-hop column: a [`RouteEntry`] packed into
+/// 12 bytes (the next hop's link-local address is rebuilt from its node
+/// id and interface index on lookup).
+#[derive(Clone, Copy, Debug)]
+struct Hop {
+    /// Link hops to the destination; 0 = no route.
+    metric: u32,
+    /// Next-hop router id; `u32::MAX` = directly attached.
+    next: u32,
+    iface: IfIndex,
+    next_iface: IfIndex,
 }
 
-impl RoutingTable {
-    pub fn lookup(&self, dst: Ipv6Addr) -> Option<&RouteEntry> {
-        self.routes
-            .iter()
-            .filter(|r| r.prefix.contains(dst))
-            .max_by_key(|r| (r.prefix.len(), std::cmp::Reverse(r.metric)))
+impl Hop {
+    const NONE: Hop = Hop {
+        metric: 0,
+        next: u32::MAX,
+        iface: 0,
+        next_iface: 0,
+    };
+
+    fn entry(self) -> Option<RouteEntry> {
+        if self.metric == 0 {
+            return None;
+        }
+        let next = (self.next != u32::MAX).then_some(NodeId(self.next));
+        Some(RouteEntry {
+            iface: self.iface,
+            next_hop: next.map(|n| addressing::link_local_addr(n, self.next_iface)),
+            next_hop_node: next,
+            metric: self.metric,
+        })
     }
 }
 
-impl mobicast_pimdm::RpfLookup for RoutingTable {
-    fn rpf(&self, src: Ipv6Addr) -> Option<mobicast_pimdm::RpfInfo> {
-        let r = self.lookup(src)?;
-        Some(mobicast_pimdm::RpfInfo {
+/// Everything the plane knows about one destination link, built from a
+/// single BFS the first time any router routes toward that link.
+#[derive(Debug)]
+struct Column {
+    /// Link hops from every link to the destination (`u32::MAX`:
+    /// unreachable), indexed by link.
+    dist: Box<[u32]>,
+    /// Each router's route toward the destination, indexed by node id.
+    hops: Box<[Hop]>,
+}
+
+/// The network's one unicast routing plane, shared by every router.
+///
+/// Routes are static (link flaps never re-route; a restarted router reads
+/// the same plane). A lookup decodes the destination link from the address
+/// plan ([`addressing::link_of_addr`]) and reads the router's cell of that
+/// link's next-hop column: two O(1) steps. Columns are filled lazily, one
+/// per destination link actually used, so memory is O(routers ×
+/// destinations used) rather than O(routers × links).
+#[derive(Debug, Default)]
+pub struct RoutingPlane {
+    graph: LinkGraph,
+    /// Next-hop column per destination link, built on first use.
+    columns: Box<[OnceCell<Column>]>,
+}
+
+impl RoutingPlane {
+    pub(crate) fn new(graph: LinkGraph) -> Self {
+        let columns = (0..graph.n_links()).map(|_| OnceCell::new()).collect();
+        RoutingPlane { graph, columns }
+    }
+
+    fn column(&self, target: LinkId) -> Option<&Column> {
+        let cell = self.columns.get(target.index())?;
+        Some(cell.get_or_init(|| self.build_column(target)))
+    }
+
+    fn build_column(&self, target: LinkId) -> Column {
+        let g = &self.graph;
+        let dist = g.link_distances(target);
+        let iface_on = |r: NodeId, link: LinkId| {
+            g.links_of_router(r)
+                .iter()
+                .position(|l| *l == link)
+                .expect("route leaves on an attached link") as IfIndex
+        };
+        let hops = (0..g.node_bound() as u32)
+            .map(NodeId)
+            .map(|r| match g.route(r, &dist) {
+                None => Hop::NONE,
+                Some(route) => Hop {
+                    metric: route.link_hops,
+                    next: route.next_router.map_or(u32::MAX, |n| n.0),
+                    iface: iface_on(r, route.first_link),
+                    next_iface: route
+                        .next_router
+                        .map_or(0, |n| iface_on(n, route.first_link)),
+                },
+            })
+            .collect();
+        Column {
+            dist: dist.into(),
+            hops,
+        }
+    }
+
+    /// `router`'s route toward `dst` (`None`: off-plan address, unknown
+    /// link, or unreachable).
+    pub fn lookup(&self, router: NodeId, dst: Ipv6Addr) -> Option<RouteEntry> {
+        let link = addressing::link_of_addr(dst)?;
+        self.column(link)?.hops.get(router.index())?.entry()
+    }
+
+    /// `router`'s reverse-path (RPF) information toward `src`.
+    pub fn rpf(&self, router: NodeId, src: Ipv6Addr) -> Option<RpfInfo> {
+        let r = self.lookup(router, src)?;
+        Some(RpfInfo {
             iif: r.iface,
             upstream: r.next_hop,
             metric_pref: 101, // static unicast routing preference
             metric: r.metric,
         })
+    }
+
+    /// Shortest distance in link hops between two links (1 = same link).
+    pub fn link_hop_distance(&self, from: LinkId, to: LinkId) -> Option<u32> {
+        let d = *self.column(to)?.dist.get(from.index())?;
+        (d != u32::MAX).then(|| d + 1)
     }
 }
 
@@ -65,9 +166,34 @@ pub struct Directory {
     /// the MAP discovery a real deployment would do via Router
     /// Advertisement options.
     pub map_agent: Vec<Option<Ipv6Addr>>,
+    /// The routing plane every router forwards and RPF-checks by.
+    pub routing: RoutingPlane,
 }
 
 pub type SharedDirectory = Rc<Directory>;
+
+/// One router's view of the shared [`RoutingPlane`].
+#[derive(Clone, Debug)]
+pub(crate) struct RouteView {
+    directory: SharedDirectory,
+    router: NodeId,
+}
+
+impl RouteView {
+    pub(crate) fn new(directory: SharedDirectory, router: NodeId) -> Self {
+        RouteView { directory, router }
+    }
+
+    pub(crate) fn lookup(&self, dst: Ipv6Addr) -> Option<RouteEntry> {
+        self.directory.routing.lookup(self.router, dst)
+    }
+}
+
+impl RpfLookup for RouteView {
+    fn rpf(&self, src: Ipv6Addr) -> Option<RpfInfo> {
+        self.directory.routing.rpf(self.router, src)
+    }
+}
 
 /// Derive the node that owns an address under the simulation address plan
 /// (the interface identifier encodes the node id).
@@ -188,11 +314,6 @@ pub fn frame_for(p: &Packet, l2_to: Option<NodeId>) -> Frame {
     }
 }
 
-/// Helpers for building the plan.
-pub fn link_prefix(link: LinkId) -> Prefix {
-    addressing::link_prefix(link)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,47 +330,60 @@ mod tests {
         Packet::new(a(src), group.addr(), proto::UDP, body)
     }
 
-    #[test]
-    fn routing_table_longest_prefix_match() {
-        let t = RoutingTable {
-            routes: vec![
-                RouteEntry {
-                    prefix: "2001:db8::/32".parse().unwrap(),
-                    iface: 0,
-                    next_hop: Some(a("fe80::1")),
-                    next_hop_node: Some(NodeId(1)),
-                    metric: 5,
-                },
-                RouteEntry {
-                    prefix: "2001:db8:4::/64".parse().unwrap(),
-                    iface: 1,
-                    next_hop: None,
-                    next_hop_node: None,
-                    metric: 1,
-                },
+    /// L0 - R0 - L1 - {R1, R2} - L2 - R3 - L3, with R1/R2 parallel and
+    /// R2 listing its links in reverse interface order.
+    fn plane() -> RoutingPlane {
+        let (n, l) = (NodeId, LinkId);
+        RoutingPlane::new(LinkGraph::new(
+            4,
+            &[
+                (n(0), vec![l(0), l(1)]),
+                (n(1), vec![l(1), l(2)]),
+                (n(2), vec![l(2), l(1)]),
+                (n(3), vec![l(2), l(3)]),
             ],
-        };
-        assert_eq!(t.lookup(a("2001:db8:4::9")).unwrap().iface, 1);
-        assert_eq!(t.lookup(a("2001:db8:9::9")).unwrap().iface, 0);
-        assert!(t.lookup(a("2002::1")).is_none());
+        ))
     }
 
     #[test]
-    fn rpf_from_routing_table() {
-        use mobicast_pimdm::RpfLookup;
-        let t = RoutingTable {
-            routes: vec![RouteEntry {
-                prefix: "2001:db8:1::/64".parse().unwrap(),
-                iface: 2,
-                next_hop: Some(a("fe80::1")),
-                next_hop_node: Some(NodeId(1)),
-                metric: 3,
-            }],
-        };
-        let info = t.rpf(a("2001:db8:1::42")).unwrap();
-        assert_eq!(info.iif, 2);
-        assert_eq!(info.upstream, Some(a("fe80::1")));
-        assert_eq!(info.metric, 3);
+    fn lookup_decodes_the_destination_link() {
+        let p = plane();
+        let far = addressing::global_addr(NodeId(9), 0, LinkId(3));
+        let r = p.lookup(NodeId(0), far).unwrap();
+        assert_eq!(r.iface, 1);
+        assert_eq!(
+            r.next_hop_node,
+            Some(NodeId(1)),
+            "lowest-id parallel router"
+        );
+        assert_eq!(r.next_hop, Some(addressing::link_local_addr(NodeId(1), 0)));
+        assert_eq!(r.metric, 3);
+        // Directly attached: no next hop.
+        let r = p.lookup(NodeId(2), far).unwrap();
+        assert_eq!((r.iface, r.next_hop_node), (0, Some(NodeId(3))));
+        let near = addressing::global_addr(NodeId(9), 0, LinkId(1));
+        let r = p.lookup(NodeId(2), near).unwrap();
+        assert_eq!((r.iface, r.next_hop, r.metric), (1, None, 1));
+        // Off-plan, beyond the last link, and non-routers have no route.
+        assert!(p.lookup(NodeId(0), a("fe80::400")).is_none());
+        assert!(p.lookup(NodeId(0), a("2001:db8:5::1")).is_none());
+        assert!(p.lookup(NodeId(7), far).is_none());
+    }
+
+    #[test]
+    fn rpf_and_hop_distance_read_the_same_column() {
+        let p = plane();
+        let src = addressing::global_addr(NodeId(9), 0, LinkId(0));
+        let info = p.rpf(NodeId(3), src).unwrap();
+        assert_eq!(info.iif, 0);
+        assert_eq!(
+            info.upstream,
+            Some(addressing::link_local_addr(NodeId(1), 1))
+        );
+        assert_eq!((info.metric_pref, info.metric), (101, 3));
+        assert_eq!(p.link_hop_distance(LinkId(3), LinkId(0)), Some(4));
+        assert_eq!(p.link_hop_distance(LinkId(0), LinkId(0)), Some(1));
+        assert_eq!(p.link_hop_distance(LinkId(0), LinkId(9)), None);
     }
 
     #[test]

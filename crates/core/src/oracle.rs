@@ -31,7 +31,7 @@
 //! violations, rendered as strings) lands in the JSON report.
 
 use crate::netplan;
-use crate::recorder::{DataEvent, Recorder};
+use crate::recorder::Recorder;
 use crate::router_node::RouterNode;
 use mobicast_ipv6::packet::Packet;
 use mobicast_ipv6::DEFAULT_ENCAP_LIMIT;
@@ -39,7 +39,7 @@ use mobicast_net::{Frame, IfIndex, LinkId, NodeId, World, WorldProbe};
 use mobicast_sim::{SimDuration, SimTime};
 use serde::Serialize;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 /// Hard ceiling on RFC 2473 nesting depth: one plain packet, one
@@ -367,20 +367,35 @@ impl Oracle {
     pub fn finalize(&self, rec: &Recorder, p: &FinalizeParams) -> OracleSummary {
         let st = &mut *self.state.borrow_mut();
 
-        let by_tag: BTreeMap<u64, &DataEvent> =
-            rec.data_events.iter().map(|ev| (ev.id, ev)).collect();
+        // Tag → position in `data_events`, with every parent resolved to a
+        // position once, so the ancestry walks chase indices instead of
+        // searching the map at each step.
+        let events = &rec.data_events;
+        let by_tag: HashMap<u64, usize> = events
+            .iter()
+            .enumerate()
+            .map(|(i, ev)| (ev.id, i))
+            .collect();
+        let parent_of: Vec<Option<usize>> = events
+            .iter()
+            .map(|ev| {
+                ev.parent
+                    .filter(|t| *t != 0)
+                    .and_then(|t| by_tag.get(&t).copied())
+            })
+            .collect();
 
         // Loop-freedom: walk every native emission's causal ancestry; a
         // native ancestor on the same link means the datagram re-entered
         // the link it already crossed.
-        for ev in &rec.data_events {
+        for (ev, parent) in events.iter().zip(&parent_of) {
             if ev.tunneled {
                 continue;
             }
-            let mut tag = ev.parent.unwrap_or(0);
+            let mut at = *parent;
             let mut guard = 0;
-            while tag != 0 && guard < 64 {
-                let Some(anc) = by_tag.get(&tag) else { break };
+            while let Some(i) = at.filter(|_| guard < 64) {
+                let anc = &events[i];
                 if !anc.tunneled && anc.link == ev.link {
                     push_violation(
                         st,
@@ -394,7 +409,7 @@ impl Oracle {
                     );
                     break;
                 }
-                tag = anc.parent.unwrap_or(0);
+                at = parent_of[i];
                 guard += 1;
             }
         }
@@ -416,7 +431,7 @@ impl Oracle {
             if !settled.contains(&d.pkt) {
                 continue;
             }
-            let tunneled = by_tag.get(&d.via).map(|e| e.tunneled).unwrap_or(false);
+            let tunneled = by_tag.get(&d.via).is_some_and(|&i| events[i].tunneled);
             let slot = per_copy.entry((d.host, d.pkt)).or_default();
             if tunneled {
                 slot.1 += 1;

@@ -10,7 +10,7 @@
 //! binding (and thus the proxied membership) goes away.
 
 use crate::interners::WorldInterners;
-use crate::netplan::{self, frame_for, RoutingTable};
+use crate::netplan::{self, frame_for, RouteView, SharedDirectory};
 use crate::recorder::{DataEvent, SharedRecorder};
 use mobicast_ipv6::addr::{self, GroupAddr, Prefix};
 use mobicast_ipv6::exthdr::{ExtHeader, Option6};
@@ -127,6 +127,17 @@ pub struct RouterIfaceInfo {
     pub global: Ipv6Addr,
 }
 
+/// Control-plane ingress classes that share the rate limiter.
+#[derive(Clone, Copy)]
+enum Ingress {
+    /// Binding Updates.
+    Bu,
+    /// PIM Join/Prune, Graft and Assert.
+    Pim,
+    /// MLD Report and Done.
+    Mld,
+}
+
 struct TimerSlot {
     scheduled: Option<(SimTime, EventId)>,
 }
@@ -161,7 +172,7 @@ pub struct RouterNode {
     pub id: NodeId,
     cfg: RouterConfig,
     ifaces: Vec<RouterIfaceInfo>,
-    table: RoutingTable,
+    routes: RouteView,
     pim: PimRouter,
     mld: BTreeMap<IfIndex, MldRouterPort>,
     /// HA proxy listener state per interface.
@@ -190,7 +201,7 @@ impl RouterNode {
         id: NodeId,
         cfg: RouterConfig,
         ifaces: Vec<RouterIfaceInfo>,
-        table: RoutingTable,
+        directory: SharedDirectory,
         rng: &RngFactory,
         recorder: SharedRecorder,
         interners: &WorldInterners,
@@ -226,7 +237,7 @@ impl RouterNode {
             id,
             cfg,
             ifaces,
-            table,
+            routes: RouteView::new(directory, id),
             pim,
             mld,
             proxy,
@@ -288,15 +299,19 @@ impl RouterNode {
     /// Admit one control-plane message through the shared token bucket.
     /// Returns false when the message must be shed; the drop is counted
     /// (MIB + recorder ground truth) and traced.
-    fn admit_control(&mut self, ctx: &mut Ctx<'_>, kind: &'static str, mib: &'static str) -> bool {
+    fn admit_control(&mut self, ctx: &mut Ctx<'_>, class: Ingress) -> bool {
         let Some(bucket) = self.bucket.as_mut() else {
             return true;
         };
         if bucket.try_take(ctx.now()) {
             return true;
         }
-        self.recorder
-            .count(&format!("overload.rate_limited.{kind}"), 1);
+        let (kind, counter, mib) = match class {
+            Ingress::Bu => ("bu", "overload.rate_limited.bu", "buRateLimited"),
+            Ingress::Pim => ("pim", "overload.rate_limited.pim", "pimRateLimited"),
+            Ingress::Mld => ("mld", "overload.rate_limited.mld", "mldRateLimited"),
+        };
+        self.recorder.count(counter, 1);
         self.mib.inc(mib);
         ctx.trace_event(TraceCategory::Overload, "rate_limited", || {
             vec![("kind", kind.into())]
@@ -404,17 +419,17 @@ impl RouterNode {
         };
         let body = send.msg.encode(src, dst);
         let packet = Packet::new(src, dst, proto::PIM, body).with_hop_limit(1);
-        let (kind, mib) = match send.msg {
-            PimMessage::Hello { .. } => ("hello", "pimHellosSent"),
+        let (kind, counter, mib) = match send.msg {
+            PimMessage::Hello { .. } => ("hello", "pim.sent.hello", "pimHellosSent"),
             PimMessage::JoinPrune { ref joins, .. } if joins.is_empty() => {
-                ("prune", "pimPrunesSent")
+                ("prune", "pim.sent.prune", "pimPrunesSent")
             }
-            PimMessage::JoinPrune { .. } => ("join", "pimJoinsSent"),
-            PimMessage::Assert { .. } => ("assert", "pimAssertsSent"),
-            PimMessage::Graft { .. } => ("graft", "pimGraftsSent"),
-            PimMessage::GraftAck { .. } => ("graft_ack", "pimGraftAcksSent"),
+            PimMessage::JoinPrune { .. } => ("join", "pim.sent.join", "pimJoinsSent"),
+            PimMessage::Assert { .. } => ("assert", "pim.sent.assert", "pimAssertsSent"),
+            PimMessage::Graft { .. } => ("graft", "pim.sent.graft", "pimGraftsSent"),
+            PimMessage::GraftAck { .. } => ("graft_ack", "pim.sent.graft_ack", "pimGraftAcksSent"),
         };
-        self.recorder.count(&format!("pim.sent.{kind}"), 1);
+        self.recorder.count(counter, 1);
         self.mib.inc(mib);
         ctx.trace_event(TraceCategory::Pim, "pim_tx", || {
             vec![
@@ -439,12 +454,12 @@ impl RouterNode {
         let packet = Packet::new(src, dst, proto::ICMPV6, body)
             .with_hop_limit(1)
             .with_ext(ExtHeader::HopByHop(vec![Option6::RouterAlert(0)]));
-        let (kind, mib) = match msg {
-            MldMessage::Query { .. } => ("query", "mldOutQueries"),
-            MldMessage::Report { .. } => ("report", "mldOutReports"),
-            MldMessage::Done { .. } => ("done", "mldOutDones"),
+        let (counter, mib) = match msg {
+            MldMessage::Query { .. } => ("mld.sent.query", "mldOutQueries"),
+            MldMessage::Report { .. } => ("mld.sent.report", "mldOutReports"),
+            MldMessage::Done { .. } => ("mld.sent.done", "mldOutDones"),
         };
-        self.recorder.count(&format!("mld.sent.{kind}"), 1);
+        self.recorder.count(counter, 1);
         self.mib.inc(mib);
         self.emit(ctx, ifx, &packet, None, None);
     }
@@ -662,7 +677,7 @@ impl RouterNode {
                     self.recorder.count("mld.listener_added", 1);
                     let sends = self
                         .pim
-                        .set_membership(ifx, g, true, ctx.now(), &self.table);
+                        .set_membership(ifx, g, true, ctx.now(), &self.routes);
                     self.pim_sends(ctx, sends);
                 }
                 RouterOutput::ListenerRemoved(g) => {
@@ -672,7 +687,7 @@ impl RouterNode {
                     self.recorder.count("mld.listener_removed", 1);
                     let sends = self
                         .pim
-                        .set_membership(ifx, g, false, ctx.now(), &self.table);
+                        .set_membership(ifx, g, false, ctx.now(), &self.routes);
                     self.pim_sends(ctx, sends);
                 }
             }
@@ -721,7 +736,7 @@ impl RouterNode {
                 HaOutput::SendBindingAck { care_of, home, ack } => {
                     // Source the ack from the global address of the
                     // interface the care-of route leaves on.
-                    let Some(route) = self.table.lookup(care_of) else {
+                    let Some(route) = self.routes.lookup(care_of) else {
                         continue;
                     };
                     let src = self.ifaces[usize::from(route.iface)].global;
@@ -736,7 +751,7 @@ impl RouterNode {
                 HaOutput::ProxyJoin(g) => {
                     let anchor = self
                         .iface_containing(home)
-                        .or_else(|| self.table.lookup(care_of).map(|r| r.iface));
+                        .or_else(|| self.routes.lookup(care_of).map(|r| r.iface));
                     let Some(ifx) = anchor else {
                         continue;
                     };
@@ -889,14 +904,14 @@ impl RouterNode {
         }
     }
 
-    /// Forward a unicast packet according to the routing table, applying
+    /// Forward a unicast packet along the routing plane, applying
     /// home-agent interception for destinations on attached (home) links.
     fn route_unicast(&mut self, ctx: &mut Ctx<'_>, mut packet: Packet, parent: Option<u64>) {
         if packet.hop_limit <= 1 {
             self.recorder.count("router.hop_limit_drops", 1);
             return;
         }
-        let Some(route) = self.table.lookup(packet.dst).copied() else {
+        let Some(route) = self.routes.lookup(packet.dst) else {
             self.recorder.count("router.no_route_drops", 1);
             return;
         };
@@ -905,7 +920,7 @@ impl RouterNode {
         if route.next_hop.is_none() && !tunnel::is_tunnel(&packet) {
             if let Some(coa) = self.ha.intercept(packet.dst) {
                 if coa != packet.dst {
-                    let Some(out_route) = self.table.lookup(coa).copied() else {
+                    let Some(out_route) = self.routes.lookup(coa) else {
                         return;
                     };
                     let src = self.ifaces[usize::from(out_route.iface)].global;
@@ -943,8 +958,8 @@ impl RouterNode {
         }
         let s = packet.src;
         let now = ctx.now();
-        let accepted = self.table.rpf(s).map(|i| i.iif == ifx).unwrap_or(false);
-        let (fwd, sends) = self.pim.on_data(ifx, s, group, now, &self.table);
+        let accepted = self.routes.rpf(s).map(|i| i.iif == ifx).unwrap_or(false);
+        let (fwd, sends) = self.pim.on_data(ifx, s, group, now, &self.routes);
         self.recorder.count("router.mcast_data_processed", 1);
         self.pim_sends(ctx, sends);
         let parent = (tag != 0).then_some(tag);
@@ -965,7 +980,7 @@ impl RouterNode {
         if accepted && self.ha.has_group_subscribers(group) {
             let targets = self.ha.multicast_tunnel_targets(group);
             for (home, coa) in targets {
-                let Some(out_route) = self.table.lookup(coa).copied() else {
+                let Some(out_route) = self.routes.lookup(coa) else {
                     continue;
                 };
                 let src = self.ifaces[usize::from(out_route.iface)].global;
@@ -1053,7 +1068,7 @@ impl RouterNode {
                 self.recorder.count("map.binding_updates_rx", 1);
                 self.mib.inc("mapBindingUpdatesRx");
             }
-            if !self.admit_control(ctx, "bu", "buRateLimited") {
+            if !self.admit_control(ctx, Ingress::Bu) {
                 return;
             }
             let outs = self.ha.on_binding_update(home, packet.src, &bu, now);
@@ -1078,7 +1093,7 @@ impl RouterNode {
         let now = ctx.now();
         let (fwd, sends) = self
             .pim
-            .on_data(home_ifx, packet.src, group, now, &self.table);
+            .on_data(home_ifx, packet.src, group, now, &self.routes);
         self.pim_sends(ctx, sends);
         if !fwd.is_empty() {
             let mut forwarded = packet.clone();
@@ -1093,7 +1108,7 @@ impl RouterNode {
         if self.ha.has_group_subscribers(group) {
             let targets = self.ha.multicast_tunnel_targets(group);
             for (home, coa) in targets {
-                let Some(out_route) = self.table.lookup(coa).copied() else {
+                let Some(out_route) = self.routes.lookup(coa) else {
                     continue;
                 };
                 let src = self.ifaces[usize::from(out_route.iface)].global;
@@ -1213,11 +1228,12 @@ impl NodeBehavior for RouterNode {
                                     | PimMessage::Graft { .. }
                                     | PimMessage::Assert { .. }
                             );
-                            if limited && !self.admit_control(ctx, "pim", "pimRateLimited") {
+                            if limited && !self.admit_control(ctx, Ingress::Pim) {
                                 return;
                             }
                             let sends =
-                                self.pim.on_message(ifx, packet.src, &msg, now, &self.table);
+                                self.pim
+                                    .on_message(ifx, packet.src, &msg, now, &self.routes);
                             self.pim_sends(ctx, sends);
                             self.arm_pim(ctx);
                         }
@@ -1247,7 +1263,7 @@ impl NodeBehavior for RouterNode {
                     // shed; listener-state traffic (Report/Done) competes
                     // for the ingress budget.
                     let limited = !matches!(msg, MldMessage::Query { .. });
-                    if limited && !self.admit_control(ctx, "mld", "mldRateLimited") {
+                    if limited && !self.admit_control(ctx, Ingress::Mld) {
                         return;
                     }
                     let outs = self
@@ -1339,7 +1355,7 @@ impl NodeBehavior for RouterNode {
             }
             TIMER_PIM => {
                 self.pim_timer.scheduled = None;
-                let sends = self.pim.on_deadline(now, &self.table);
+                let sends = self.pim.on_deadline(now, &self.routes);
                 self.pim_sends(ctx, sends);
                 self.arm_pim(ctx);
             }

@@ -862,13 +862,13 @@ fn finish_with(
         routers,
         hosts,
         links,
-        graph,
+        directory,
         recorder,
         ..
     } = net;
 
     let mut rec = recorder.take();
-    let analysis = analyze(&rec, &graph, links.len());
+    let analysis = analyze(&rec, &directory.routing, links.len());
 
     // Close out the causal timeline at the run horizon (spans still open
     // are flagged `unfinished`) and fold closed durations into the

@@ -1,9 +1,10 @@
 //! Static routing graph over routers and links.
 //!
 //! The unicast substrate of the simulation: shortest paths (in link hops)
-//! from every router to every link, with deterministic tie-breaking (lowest
-//! link id, then lowest node id). PIM-DM's RPF checks and the prefix routing
-//! tables in the IPv6 stack are both derived from this graph.
+//! from a router toward a link, with deterministic tie-breaking (lowest
+//! link id, then lowest node id). PIM-DM's RPF checks and unicast
+//! forwarding both read these routes, through the shared routing plane
+//! the core crate builds on top of this graph.
 //!
 //! Only *routers* forward packets; hosts appear in the world but not in the
 //! routing graph, so host mobility never changes unicast routes — exactly
@@ -11,9 +12,7 @@
 //! (care-of) address or through its home agent.
 
 use crate::ids::{LinkId, NodeId};
-use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
+use std::collections::VecDeque;
 
 /// A route from a router toward a target link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,26 +26,24 @@ pub struct Route {
     pub link_hops: u32,
 }
 
-/// Bipartite router/link adjacency with all-pairs router→link routes.
+/// Bipartite router/link adjacency. Holds no per-target state: callers
+/// run [`LinkGraph::link_distances`] once per target and derive every
+/// router's [`Route`] toward it from that one vector.
 #[derive(Clone, Debug, Default)]
 pub struct LinkGraph {
-    /// For each router (dense index), attached links.
+    /// For each router (dense index), attached links in interface order.
     router_links: Vec<Vec<LinkId>>,
     /// For each link (dense index), attached routers.
     link_routers: Vec<Vec<NodeId>>,
     /// Maps world NodeId to dense router index.
     router_index: Vec<Option<usize>>,
-    /// Memoized per-target BFS distance vectors. The adjacency is
-    /// immutable after construction, so entries never invalidate; without
-    /// the memo every `route`/`link_hop_distance` call re-runs a full BFS,
-    /// which made world *construction* O(routers × links × E) — the wall
-    /// that capped metro grids (each router's table asks for every link).
-    dist_cache: RefCell<BTreeMap<LinkId, Rc<[u32]>>>,
 }
 
 impl LinkGraph {
     /// Build from `(router, links-the-router-attaches)` pairs and the total
-    /// number of links in the world.
+    /// number of links in the world. Each router's links keep their order,
+    /// so a link's position in [`Self::links_of_router`] is the router's
+    /// interface index on it.
     pub fn new(n_links: usize, routers: &[(NodeId, Vec<LinkId>)]) -> Self {
         let max_node = routers
             .iter()
@@ -58,23 +55,20 @@ impl LinkGraph {
         let mut link_routers = vec![Vec::new(); n_links];
         for (dense, (node, links)) in routers.iter().enumerate() {
             router_index[node.index()] = Some(dense);
-            let mut ls = links.clone();
-            ls.sort();
-            ls.dedup();
-            for l in &ls {
+            for l in links {
                 assert!(l.index() < n_links, "link {l} out of range");
                 link_routers[l.index()].push(*node);
             }
-            router_links.push(ls);
+            router_links.push(links.clone());
         }
         for routers_on_link in &mut link_routers {
             routers_on_link.sort();
+            routers_on_link.dedup();
         }
         LinkGraph {
             router_links,
             link_routers,
             router_index,
-            dist_cache: RefCell::new(BTreeMap::new()),
         }
     }
 
@@ -87,7 +81,8 @@ impl LinkGraph {
         &self.link_routers[link.index()]
     }
 
-    /// Links attached to router `n` (empty if `n` is not a router).
+    /// Links attached to router `n` in interface order (empty if `n` is
+    /// not a router).
     pub fn links_of_router(&self, n: NodeId) -> &[LinkId] {
         match self.dense(n) {
             Some(d) => &self.router_links[d],
@@ -97,6 +92,12 @@ impl LinkGraph {
 
     pub fn is_router(&self, n: NodeId) -> bool {
         self.dense(n).is_some()
+    }
+
+    /// One past the highest router node id: every router's id indexes a
+    /// slice of this length.
+    pub fn node_bound(&self) -> usize {
+        self.router_index.len()
     }
 
     /// Distance in link hops from every link to `target` (BFS over the
@@ -124,28 +125,15 @@ impl LinkGraph {
         dist
     }
 
-    /// Memoized [`Self::link_distances`]: one BFS per distinct target over
-    /// the graph's lifetime, shared via `Rc`.
-    fn distances(&self, target: LinkId) -> Rc<[u32]> {
-        if let Some(d) = self.dist_cache.borrow().get(&target) {
-            return Rc::clone(d);
-        }
-        let dist: Rc<[u32]> = self.link_distances(target).into();
-        self.dist_cache
-            .borrow_mut()
-            .insert(target, Rc::clone(&dist));
-        dist
-    }
-
-    /// Shortest route from router `from` toward `target` link.
+    /// Shortest route from router `from` toward the target link whose
+    /// [`Self::link_distances`] vector is `dist`.
     ///
     /// Tie-breaking is deterministic: among equal-cost first links the one
     /// with the lowest id wins, and among equal next routers the lowest
-    /// node id wins. Returns `None` if `from` is not a router or `target`
-    /// is unreachable from it.
-    pub fn route(&self, from: NodeId, target: LinkId) -> Option<Route> {
+    /// node id wins. Returns `None` if `from` is not a router or the
+    /// target is unreachable from it.
+    pub fn route(&self, from: NodeId, dist: &[u32]) -> Option<Route> {
         let dense = self.dense(from)?;
-        let dist = self.distances(target);
         let mut best: Option<(u32, LinkId)> = None;
         for l in &self.router_links[dense] {
             let d = dist[l.index()];
@@ -185,13 +173,6 @@ impl LinkGraph {
         })
     }
 
-    /// Shortest distance in link hops between two links (1 = same link).
-    pub fn link_hop_distance(&self, from: LinkId, to: LinkId) -> Option<u32> {
-        let dist = self.distances(to);
-        let d = dist[from.index()];
-        (d != u32::MAX).then_some(d + 1)
-    }
-
     /// Number of links in the graph.
     pub fn n_links(&self) -> usize {
         self.link_routers.len()
@@ -221,10 +202,15 @@ mod tests {
         )
     }
 
+    /// Route from `from` toward `target`, one BFS per call.
+    fn route(g: &LinkGraph, from: NodeId, target: LinkId) -> Option<Route> {
+        g.route(from, &g.link_distances(target))
+    }
+
     #[test]
     fn directly_attached_link() {
         let g = string_graph();
-        let r = g.route(n(0), l(0)).unwrap();
+        let r = route(&g, n(0), l(0)).unwrap();
         assert_eq!(r.first_link, l(0));
         assert_eq!(r.next_router, None);
         assert_eq!(r.link_hops, 1);
@@ -233,7 +219,7 @@ mod tests {
     #[test]
     fn multi_hop_route() {
         let g = string_graph();
-        let r = g.route(n(0), l(3)).unwrap();
+        let r = route(&g, n(0), l(3)).unwrap();
         assert_eq!(r.first_link, l(1));
         assert_eq!(r.next_router, Some(n(1)));
         assert_eq!(r.link_hops, 3);
@@ -242,16 +228,15 @@ mod tests {
     #[test]
     fn unreachable_and_non_router() {
         let g = LinkGraph::new(3, &[(n(0), vec![l(0)]), (n(1), vec![l(1), l(2)])]);
-        assert!(g.route(n(0), l(1)).is_none(), "disconnected");
-        assert!(g.route(n(7), l(0)).is_none(), "not a router");
+        assert!(route(&g, n(0), l(1)).is_none(), "disconnected");
+        assert!(route(&g, n(7), l(0)).is_none(), "not a router");
     }
 
     #[test]
     fn parallel_routers_tie_break_to_lowest_id() {
         // L0 - {R0, R1} - L1 : both routers connect the same two links.
-        let g = LinkGraph::new(2, &[(n(0), vec![l(0), l(1)]), (n(1), vec![l(0), l(1)])]);
         // From a third router attached only to L0 we should pick R0.
-        let g2 = LinkGraph::new(
+        let g = LinkGraph::new(
             2,
             &[
                 (n(0), vec![l(0), l(1)]),
@@ -259,10 +244,9 @@ mod tests {
                 (n(2), vec![l(0)]),
             ],
         );
-        let r = g2.route(n(2), l(1)).unwrap();
+        let r = route(&g, n(2), l(1)).unwrap();
         assert_eq!(r.next_router, Some(n(0)), "lowest-id router wins ties");
         assert_eq!(r.link_hops, 2);
-        let _ = g;
     }
 
     #[test]
@@ -273,10 +257,10 @@ mod tests {
     }
 
     #[test]
-    fn link_hop_distance_counts_target() {
-        let g = string_graph();
-        assert_eq!(g.link_hop_distance(l(0), l(0)), Some(1));
-        assert_eq!(g.link_hop_distance(l(0), l(3)), Some(4));
+    fn links_keep_interface_order() {
+        let g = LinkGraph::new(3, &[(n(0), vec![l(2), l(0)]), (n(1), vec![l(1)])]);
+        assert_eq!(g.links_of_router(n(0)), &[l(2), l(0)]);
+        assert_eq!(g.node_bound(), 2);
     }
 
     #[test]
@@ -304,12 +288,12 @@ mod tests {
         );
         // D's route toward the sender link L0 goes via L2 and router B
         // (lowest id of the parallel pair B/C).
-        let r = g.route(n(3), l(0)).unwrap();
+        let r = route(&g, n(3), l(0)).unwrap();
         assert_eq!(r.first_link, l(2));
         assert_eq!(r.next_router, Some(n(1)));
         assert_eq!(r.link_hops, 3);
         // E is 4 links from L0 (L4, L2, L1, L0 path through D, B, A).
-        let r = g.route(n(4), l(0)).unwrap();
+        let r = route(&g, n(4), l(0)).unwrap();
         assert_eq!(r.first_link, l(4));
         assert_eq!(r.next_router, Some(n(3)));
         assert_eq!(r.link_hops, 4);

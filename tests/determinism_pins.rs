@@ -12,6 +12,7 @@
 //! carries the new value. If the change is intended, update the constant
 //! and say in the commit why the bytes moved.
 
+use mobicast::core::scale::metro_spec;
 use mobicast::core::scenario::{self, PaperHost, ScenarioConfig};
 use mobicast::core::strategy::Policy;
 use mobicast::core::stress::{run_stress_with, specs, StressRunOptions, StressSpec};
@@ -117,6 +118,25 @@ fn stress_outputs_match_pins() {
             "{name}: ShardRunStats under sharded(4) changed"
         );
     }
+}
+
+/// Trace JSONL and `StressReport` hashes of the small metro grid
+/// (`scale::metro_spec(120, 24, 11)`: 8×8 links, 112 routers), whose RPF
+/// checks and unicast forwards cross a multi-hop, multipath grid.
+const METRO_PIN: (u64, u64) = (0x5ce4f8b3c121f65c, 0x19e63f792e140bc3);
+
+#[test]
+fn metro_outputs_match_pin() {
+    let spec = metro_spec(120, 24, 11);
+    assert_eq!(spec.name, "metro64x112/local/seed11");
+    let (trace, report, _) = capture(&spec, &StressRunOptions::default());
+    let trace_hash = fnv1a(trace.as_bytes());
+    let report_hash = fnv1a(report.as_bytes());
+    assert!(
+        (trace_hash, report_hash) == METRO_PIN,
+        "metro bytes changed (trace hash now {trace_hash:#018x}, \
+         StressReport hash now {report_hash:#018x})"
+    );
 }
 
 /// `RunReport` hash of the bidirectional-tunnel handoff reference scenario.
